@@ -38,15 +38,17 @@
 //! `SPC_SCAN_KIND=simd256`) so both the fallback and the vector kernels are
 //! exercised and compared on every push.
 //!
-//! The matrix also sweeps the **traversal-prefetch scheme**: the main pass
-//! runs under the installed scheme (default `stride`), then the packed
-//! linear structures re-run under `off`, `chase`, and `adaptive`, pinned to
-//! the best scan kernel so the scheme is the only variable. Scheme rows
-//! carry `prefetch_scheme` / `prefetch_dist` columns, and their cachesim
-//! replay arms the simulated pointer-chase unit (degree 1 for `chase`, 2
-//! for `adaptive`) so the native `prefetcht0` chase has a simulated
-//! counterpart — the L1-hit delta against the stride row attributes the
-//! timing change to locality.
+//! The matrix also sweeps the **traversal-prefetch scheme** over the
+//! baseline list, the only walk that has one: the main pass runs under the
+//! installed scheme (default `stride`), then the packed baseline re-runs
+//! under `off`, `chase`, and `adaptive`, pinned to the best scan kernel so
+//! the scheme is the only variable. The LLA walk issues no software
+//! prefetch, so LLA cells run once and are recorded as `off` with distance
+//! 0. Scheme rows carry `prefetch_scheme` / `prefetch_dist` columns, and
+//! their cachesim replay arms the simulated pointer-chase unit (degree 1
+//! wherever the native walk chases) so the native `prefetcht0` chase has a
+//! simulated counterpart — the L1-hit delta against the stride row
+//! attributes the timing change to locality.
 //!
 //! Usage: `matching_gate [--quick] [--out <path>]` (also `--json <path>`;
 //! default `BENCH_matching.json`). `--quick` shrinks the matrix and budgets
@@ -54,7 +56,7 @@
 //! environment variable restricts the packed sweep to one kernel
 //! (`portable`/`simd128`/`simd256`, downgraded to the best the CPU
 //! supports); `SPC_PREFETCH_SCHEME` (`off`/`stride`/`chase`/`adaptive`)
-//! pins the whole matrix to one scheme and skips the scheme sweep. The
+//! pins every non-LLA row to one scheme and skips the scheme sweep. The
 //! binary exits nonzero on panic, an unwritable output path, or a kernel
 //! cross-check divergence — perf regressions are recorded, not fatal, so CI
 //! stays green on noisy runners.
@@ -129,9 +131,12 @@ struct Cell {
     hit: &'static str,
     wildcard: f64,
     variant: Variant,
-    /// Traversal-prefetch scheme installed while the cell runs. The
-    /// fieldwise reference path never prefetches, so its rows always
-    /// report `off` regardless of this value.
+    /// Traversal-prefetch scheme installed while the cell runs ([`Off`]
+    /// for LLA cells, whose walk never prefetches). The fieldwise
+    /// reference path never prefetches either, so its rows always report
+    /// `off` regardless of this value.
+    ///
+    /// [`Off`]: PrefetchScheme::Off
     scheme: PrefetchScheme,
 }
 
@@ -155,12 +160,7 @@ impl Cell {
         match (self.variant, self.scheme) {
             (Variant::Fieldwise, _) => 0,
             (_, PrefetchScheme::Chase) => 1,
-            (_, PrefetchScheme::Adaptive) => {
-                // Mirror the native arity gate: at distance 1 only the
-                // pointer-bound structures chase (`ADAPTIVE_CHASE_MAX_ARITY`).
-                let pointer_bound = matches!(self.structure, "baseline" | "lla2" | "lla8");
-                u32::from(adaptive_dist == Some(1) && pointer_bound)
-            }
+            (_, PrefetchScheme::Adaptive) => u32::from(adaptive_dist == Some(1)),
             _ => 0,
         }
     }
@@ -568,10 +568,10 @@ fn main() {
         if env_forced { " (SPC_SCAN_KIND)" } else { "" }
     );
 
-    // `SPC_PREFETCH_SCHEME` pins the whole matrix to one traversal-prefetch
+    // `SPC_PREFETCH_SCHEME` pins every non-LLA row to one traversal-prefetch
     // scheme (same forced-vs-default contract as `SPC_SCAN_KIND`); without
     // it the matrix runs under the default stride scheme and the packed
-    // linear structures are re-timed under the other three on the same list.
+    // baseline list is re-timed under the other three on the same list.
     let scheme_env_forced = std::env::var("SPC_PREFETCH_SCHEME").is_ok();
     let installed_scheme = prefetch::scheme();
     let sweep_schemes: Vec<PrefetchScheme> = if scheme_env_forced {
@@ -665,11 +665,11 @@ fn main() {
                 });
             }
         };
-    // Prefetch-scheme sweep: the packed linear structures (the only ones
-    // whose traversal prefetches) are re-timed under every non-default
-    // scheme ON THE SAME LIST as their main-matrix row, pinned to the best
-    // available kernel — the scheme is then the sole variable (same kernel,
-    // same heap layout) against the matching main-matrix rows.
+    // Prefetch-scheme sweep: the packed baseline list (the only walk that
+    // prefetches per hop) is re-timed under every non-default scheme ON THE
+    // SAME LIST as its main-matrix row, pinned to the best available
+    // kernel — the scheme is then the sole variable (same kernel, same heap
+    // layout) against the matching main-matrix rows.
     let sweep_kind = *packed_kinds.last().expect("at least portable");
     for &(structure, slab) in structures {
         for &depth in depths {
@@ -683,16 +683,24 @@ fn main() {
                         variants.push(Variant::Packed(ScanKind::Portable));
                     }
                     for variant in variants {
+                        // The LLA walk has no software prefetch, so its
+                        // cells run once under `off` instead of under the
+                        // installed scheme and the sweep.
+                        let lla = structure.starts_with("lla");
                         let cell = Cell {
                             structure,
                             depth,
                             hit,
                             wildcard,
                             variant,
-                            scheme: installed_scheme,
+                            scheme: if lla {
+                                PrefetchScheme::Off
+                            } else {
+                                installed_scheme
+                            },
                         };
                         let extras: &[PrefetchScheme] =
-                            if slab && variant == Variant::Packed(sweep_kind) {
+                            if slab && !lla && variant == Variant::Packed(sweep_kind) {
                                 &sweep_schemes
                             } else {
                                 &[]

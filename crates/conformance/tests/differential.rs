@@ -7,7 +7,7 @@
 
 use spc_conformance::{
     diff_dyn_engine, diff_engine, diff_posted, diff_umq, engine_ops, engine_ops_wild_bursts,
-    posted_ops, render_ops, shrink_ops, umq_ops, DepthMode, EngineOp,
+    posted_ops, render_ops, shrink_ops, umq_ops, DepthMode, EngineOp, PostedOp,
 };
 use spc_core::dynengine::EngineKind;
 use spc_core::engine::MatchEngine;
@@ -75,6 +75,71 @@ fn lla2_conforms() {
         DepthMode::Exact,
         SEED.wrapping_add(3),
     );
+}
+
+/// The LLA walk caches the pool chunk it is in and splits node ids by a
+/// compile-time chunk size, so a walk that crosses a chunk boundary — and,
+/// after node reuse, jumps back across it — is its own path. A 64-byte
+/// LLA-2 node chunk holds 4096 nodes (8192 entries); build past it, punch
+/// holes in the nodes on both sides of the boundary, empty two nodes so
+/// their ids are reused by the tail, and diff every search and removal
+/// against the oracle with exact depths.
+#[test]
+fn lla2_walk_across_pool_chunk_boundary() {
+    let per_chunk = spc_core::pool::nodes_per_chunk(64);
+    assert_eq!(per_chunk, 4096);
+    let entries = 2 * per_chunk + 32;
+    // Entry `i` gets a unique (rank, tag) and request handle `i`, and sits
+    // in node `i / 2`, slot `i % 2` (pool ids are handed out in order).
+    let append = |i: usize| PostedOp::Append {
+        rank: Some((i / 16) as i32),
+        tag: Some((i % 16) as i32),
+        ctx: 0,
+    };
+    let hit = |i: usize| PostedOp::Search {
+        rank: (i / 16) as i32,
+        tag: (i % 16) as i32,
+        ctx: 0,
+    };
+    let miss = PostedOp::Search {
+        rank: 1 << 20,
+        tag: 0,
+        ctx: 0,
+    };
+    let b = per_chunk; // first node of the second chunk
+    let at = |node: usize, slot: usize| 2 * node + slot;
+    let mut ops: Vec<PostedOp> = (0..entries).map(append).collect();
+    ops.push(miss);
+    ops.extend([
+        hit(at(b - 2, 0)),
+        PostedOp::Cancel {
+            req: at(b - 1, 1) as u64,
+        },
+        hit(at(b, 0)),
+        PostedOp::Cancel {
+            req: at(b + 1, 1) as u64,
+        },
+        miss,
+        // Empty node b - 3 (chunk 0) and node b (chunk 1): both unlink.
+        hit(at(b - 3, 0)),
+        hit(at(b - 3, 1)),
+        hit(at(b, 1)),
+        hit(at(b + 2, 0)),
+        miss,
+    ]);
+    // The tail reuses the freed ids, so the walk runs off the end of the
+    // second chunk and back into both chunks.
+    ops.extend((entries..entries + 3).map(append));
+    ops.extend([
+        miss,
+        hit(entries + 2),
+        hit(at(b - 1, 0)),
+        hit(entries),
+        miss,
+    ]);
+    if let Err(e) = diff_posted(&mut Lla::<PostedEntry, 2>::new(), DepthMode::Exact, &ops) {
+        panic!("LLA-2 chunk-boundary walk diverged: {e}");
+    }
 }
 
 #[test]

@@ -69,11 +69,10 @@ fn every_prefetch_scheme_conforms_to_the_oracle() {
     for (i, scheme) in PrefetchScheme::ALL.into_iter().enumerate() {
         assert_eq!(prefetch::set_scheme(scheme), scheme);
         let seed = SEED.wrapping_add(1000 * i as u64);
-        // The pointer-chasing structures take both the scalar and (where the
-        // CPU supports it) batched walks through the chase/stride blocks;
-        // arities straddle ADAPTIVE_CHASE_MAX_ARITY so the adaptive arity
-        // gate's on- and off-paths are both exercised, and the large-arity
-        // windowed scan runs under every scheme too.
+        // The baseline list takes both the scalar and (where the CPU
+        // supports it) batched walks through the chase/stride blocks. The
+        // LLA walk has no software prefetch, so its rows prove it ignores
+        // the scheme, the large-arity windowed scan included.
         check_posted("baseline", scheme, BaselineList::<PostedEntry>::new, seed);
         check_umq(
             "baseline",

@@ -107,9 +107,6 @@ pub struct Lla<E: Element, const N: usize> {
     head: u32,
     tail: u32,
     len: usize,
-    /// Self-tuning prefetch lookahead, consulted only under
-    /// [`prefetch::PrefetchScheme::Adaptive`].
-    adaptive: prefetch::AdaptiveDist,
 }
 
 impl<E: Element, const N: usize> Lla<E, N> {
@@ -122,7 +119,6 @@ impl<E: Element, const N: usize> Lla<E, N> {
             head: NIL,
             tail: NIL,
             len: 0,
-            adaptive: prefetch::AdaptiveDist::for_arity(N as u32),
         }
     }
 
@@ -274,11 +270,16 @@ impl<E: Element, const N: usize> Lla<E, N> {
     /// instruction under the detected/forced [`simd::scan_kind`], the
     /// scalar packed loop otherwise — and the resulting candidate bitmap
     /// is ANDed with the occupancy register (`N <= 32`) or the hole bitmap
-    /// (windowed large-arity scan) and bit-scanned to the first live hit;
-    /// and software prefetch is issued per the resolved
-    /// [`prefetch::WalkPrefetch`] plan — a dependent chase of the resident
-    /// `next` pool id and/or a speculative guess `stride` pool ids ahead,
-    /// exploiting the pool's sequential id allocation.
+    /// (windowed large-arity scan) and bit-scanned to the first live hit.
+    ///
+    /// The walk issues no per-hop software prefetch, whatever
+    /// [`crate::prefetch::scheme`] says. A cache-line node holds only two
+    /// posted entries, so a deep walk is a long chain of short hops bound
+    /// by instructions per hop; `off` won every LLA-2 cell of the gate's
+    /// prefetch-scheme sweep. The pool hands out ids sequentially, so a
+    /// standing list sits in contiguous lines the hardware prefetchers
+    /// already follow. Only the large-arity scan streams its next 32-entry
+    /// window, whose address needs no dependent load.
     fn packed_walk_remove<S: AccessSink>(
         &mut self,
         probe: &PackedProbe,
@@ -292,38 +293,34 @@ impl<E: Element, const N: usize> Lla<E, N> {
         // probe splats hoist out of the loop and no per-node call (or
         // AVX/SSE transition) is paid; dispatching per node instead costs
         // more than the vector kernels save on small nodes.
-        let plan = prefetch::walk_plan(&self.adaptive);
-        let r = match simd::scan_kind() {
+        match simd::scan_kind() {
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: `Simd256` is only ever installed after
-            // `is_x86_feature_detected!("avx2")` (see `simd::set_scan_kind`).
-            simd::ScanKind::Simd256 => unsafe { self.packed_walk_avx2(plan, probe, sink) },
+            // SAFETY: `Simd256` is only ever installed after both
+            // `is_x86_feature_detected!("avx2")` and
+            // `is_x86_feature_detected!("popcnt")` (see `simd::detect_best`).
+            simd::ScanKind::Simd256 => unsafe { self.packed_walk_avx2(probe, sink) },
             #[cfg(target_arch = "x86_64")]
             // SAFETY: SSE2 is part of the x86-64 baseline ISA.
-            simd::ScanKind::Simd128 => unsafe { self.packed_walk_sse2(plan, probe, sink) },
-            _ => self.packed_walk_body(simd::ScanKind::Portable, plan, probe, sink),
-        };
-        if plan.feedback {
-            self.adaptive.observe(r.depth as usize);
+            simd::ScanKind::Simd128 => unsafe { self.packed_walk_sse2(probe, sink) },
+            _ => self.packed_walk_body(simd::ScanKind::Portable, probe, sink),
         }
-        r
     }
 
     /// AVX2-enabled instantiation of the walk body: the `simd` kernels it
     /// calls carry the same target feature, so they inline into the node
-    /// loop instead of paying a call per node.
+    /// loop instead of paying a call per node, and the depth popcounts
+    /// compile to `popcnt` instead of a bit-twiddling sequence.
     ///
     /// # Safety
-    /// Caller must ensure AVX2 is available (runtime-detected).
+    /// Caller must ensure AVX2 and POPCNT are available (runtime-detected).
     #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,popcnt")]
     unsafe fn packed_walk_avx2<S: AccessSink>(
         &mut self,
-        plan: prefetch::WalkPrefetch,
         probe: &PackedProbe,
         sink: &mut S,
     ) -> Search<E> {
-        self.packed_walk_body(simd::ScanKind::Simd256, plan, probe, sink)
+        self.packed_walk_body(simd::ScanKind::Simd256, probe, sink)
     }
 
     /// SSE2-enabled instantiation of the walk body (x86-64 baseline ISA).
@@ -334,23 +331,19 @@ impl<E: Element, const N: usize> Lla<E, N> {
     #[target_feature(enable = "sse2")]
     unsafe fn packed_walk_sse2<S: AccessSink>(
         &mut self,
-        plan: prefetch::WalkPrefetch,
         probe: &PackedProbe,
         sink: &mut S,
     ) -> Search<E> {
-        self.packed_walk_body(simd::ScanKind::Simd128, plan, probe, sink)
+        self.packed_walk_body(simd::ScanKind::Simd128, probe, sink)
     }
 
     #[inline(always)]
     fn packed_walk_body<S: AccessSink>(
         &mut self,
         kind: simd::ScanKind,
-        plan: prefetch::WalkPrefetch,
         probe: &PackedProbe,
         sink: &mut S,
     ) -> Search<E> {
-        let dist = plan.stride as u32;
-        let cap = self.pool.capacity() as u32;
         let node_sz = core::mem::size_of::<LlaNode<E, N>>() as u64;
         // Chunk cache: consecutive pool ids live in the same chunk, so the
         // `chunks[c] -> nodes` indirection is resolved once per chunk
@@ -368,28 +361,6 @@ impl<E: Element, const N: usize> Lla<E, N> {
                 (cbase, csim) = self.pool.chunk_raw(c);
                 cc = c;
             }
-            if dist != 0 {
-                // Speculative sequential prefetch: append-built chains hand
-                // out consecutive pool ids, so `cur + dist` is almost
-                // always the node `dist` hops ahead — and unlike a scout
-                // pointer that demand-loads each link, the guess has no
-                // load dependency, so it genuinely overlaps line fetches
-                // with the scan. A wrong guess (churned free list) just
-                // warms an unrelated pool line; the capacity guard keeps
-                // the address inside allocated chunks.
-                let guess = cur + dist;
-                if guess < cap {
-                    let (gc, gi) = self.pool.split_id(guess);
-                    if gc == cc {
-                        // SAFETY: `guess < cap` and `gc == cc`, so `gi` is in
-                        // bounds of the cached chunk; the offset stays inside
-                        // one allocation (prefetch itself can never fault).
-                        prefetch::read(unsafe { cbase.add(gi) });
-                    } else {
-                        prefetch::read(self.pool.real_ptr(guess));
-                    }
-                }
-            }
             let node_addr = csim + i as u64 * node_sz;
             sink.read(node_addr, 8); // head/tail/occupancy header
 
@@ -398,23 +369,6 @@ impl<E: Element, const N: usize> Lla<E, N> {
             // (mutation happens only in `remove_at`, after the last use).
             let node = unsafe { &*cbase.add(i) };
             let next = node.next;
-            if plan.chase && next != NIL {
-                // Pointer-chase prefetch: `next` rode in on the header line
-                // just read, so the successor node's first line is fetched
-                // with perfect accuracy — no allocator-stride guesswork —
-                // while this node's slab scan runs. Lookahead is inherently
-                // one node; the stride guess above (when enabled) covers the
-                // deeper horizon.
-                let (nc, ni) = self.pool.split_id(next);
-                if nc == cc {
-                    // SAFETY: `next` is a live linked pool id, so `ni` is in
-                    // bounds of the cached chunk (and prefetch itself can
-                    // never fault).
-                    prefetch::read(unsafe { cbase.add(ni) });
-                } else {
-                    prefetch::read(self.pool.real_ptr(next));
-                }
-            }
             let mut hit: Option<(u32, E)> = None;
             if LlaNode::<E, N>::BITMAP {
                 // Batched node scan: [`simd::scan_candidates`] evaluates
@@ -476,13 +430,12 @@ impl<E: Element, const N: usize> Lla<E, N> {
                 while ws < t {
                     let wlen = (t - ws).min(32);
                     let wmask = (u32::MAX as u64 >> (32 - wlen)) as u32;
-                    if (dist != 0 || plan.chase) && ws + wlen < t {
+                    if ws + wlen < t {
                         // The slab spans many lines; streaming the next
                         // window's lines while this one is tested keeps the
                         // batched compare fed (the hardware streamer lags
                         // a 2–4-entry-per-instruction consumer). The window
-                        // address needs no dependent load, so every active
-                        // scheme streams it; only `Off` disables it.
+                        // address needs no dependent load.
                         let next_len = (t - ws - wlen).min(32);
                         prefetch::read_span(
                             node.entries[ws + wlen..].as_ptr(),
@@ -529,9 +482,9 @@ impl<E: Element, const N: usize> Lla<E, N> {
     }
 
     /// The pre-optimisation scan: per-slot pool lookups, in-band hole test,
-    /// field-by-field [`Element::matches`], no prefetch. Kept callable so
-    /// the benchmark gate can measure the packed/bitmap/prefetched path
-    /// against the exact code it replaced.
+    /// field-by-field [`Element::matches`]. Kept callable so the benchmark
+    /// gate can measure the packed/bitmap path against the exact code it
+    /// replaced.
     pub fn search_remove_fieldwise<S: AccessSink>(
         &mut self,
         probe: &E::Probe,
@@ -611,10 +564,6 @@ impl<E: Element, const N: usize> Default for Lla<E, N> {
 }
 
 impl<E: Element, const N: usize> MatchList<E> for Lla<E, N> {
-    fn adaptive_prefetch_distance(&self) -> Option<usize> {
-        Some(self.adaptive.distance())
-    }
-
     fn append<S: AccessSink>(&mut self, e: E, sink: &mut S) {
         // Fast path: room at the tail node.
         if self.tail != NIL {

@@ -111,10 +111,9 @@ pub trait MatchList<E: Element> {
     fn remove_by_id<S: AccessSink>(&mut self, id: u64, sink: &mut S) -> Option<E>;
 
     /// The self-tuning prefetch controller's current lookahead decision,
-    /// for structures whose traversal runs one ([`BaselineList`], [`Lla`]
-    /// under [`crate::prefetch::PrefetchScheme::Adaptive`]); `None` for
-    /// partitioned structures. Diagnostics only — the benchmark gate's
-    /// `prefetch_dist` column.
+    /// for structures whose traversal runs one ([`BaselineList`] under
+    /// [`crate::prefetch::PrefetchScheme::Adaptive`]); `None` for the rest.
+    /// Diagnostics only — the benchmark gate's `prefetch_dist` column.
     fn adaptive_prefetch_distance(&self) -> Option<usize> {
         None
     }

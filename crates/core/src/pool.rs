@@ -43,11 +43,16 @@ pub struct Pool<T: Copy> {
     chunks: Vec<Chunk<T>>,
     free: Vec<u32>,
     live: usize,
-    chunk_nodes: usize,
     template: T,
 }
 
 impl<T: Copy> Pool<T> {
+    /// Nodes per chunk, fixed per node type at compile time so the id
+    /// split below is a constant divisor: a shift and a mask for the
+    /// power-of-two capacities of cache-line nodes (256 KiB / 64 B = 4096),
+    /// a multiply-shift for the rest — never a `div` on the traversal path.
+    pub const CHUNK_NODES: usize = nodes_per_chunk(core::mem::size_of::<T>());
+
     /// Creates an empty pool. `template` initializes fresh chunk slots (it is
     /// immediately overwritten on allocation, but keeps the storage fully
     /// initialized without `MaybeUninit`).
@@ -56,14 +61,13 @@ impl<T: Copy> Pool<T> {
             chunks: Vec::new(),
             free: Vec::new(),
             live: 0,
-            chunk_nodes: nodes_per_chunk(core::mem::size_of::<T>()),
             template,
         }
     }
 
     /// Nodes per chunk for this pool's node type.
     pub fn chunk_capacity(&self) -> usize {
-        self.chunk_nodes
+        Self::CHUNK_NODES
     }
 
     /// Number of live (allocated) nodes.
@@ -73,7 +77,7 @@ impl<T: Copy> Pool<T> {
 
     /// Total capacity in nodes.
     pub fn capacity(&self) -> usize {
-        self.chunks.len() * self.chunk_nodes
+        self.chunks.len() * Self::CHUNK_NODES
     }
 
     /// Bytes of backing storage.
@@ -93,20 +97,20 @@ impl<T: Copy> Pool<T> {
             Some(id) => id,
             None => {
                 let chunk_idx = self.chunks.len();
-                let bytes = (self.chunk_nodes * core::mem::size_of::<T>()) as u64;
+                let bytes = (Self::CHUNK_NODES * core::mem::size_of::<T>()) as u64;
                 let sim_base = addr.alloc(bytes, core::mem::align_of::<T>().max(64) as u64);
-                // spc-allow(hot-path-alloc): chunk growth, amortized over chunk_nodes allocs
+                // spc-allow(hot-path-alloc): chunk growth, amortized over CHUNK_NODES allocs
                 self.chunks.push(Chunk {
-                    // spc-allow(hot-path-alloc): chunk growth, amortized over chunk_nodes allocs
-                    nodes: vec![self.template; self.chunk_nodes].into_boxed_slice(),
+                    // spc-allow(hot-path-alloc): chunk growth, amortized over CHUNK_NODES allocs
+                    nodes: vec![self.template; Self::CHUNK_NODES].into_boxed_slice(),
                     sim_base,
                 });
                 // Push in reverse so low ids are handed out first: keeps
                 // early allocations at the start of the chunk, matching the
                 // contiguity story.
-                let base = (chunk_idx * self.chunk_nodes) as u32;
+                let base = (chunk_idx * Self::CHUNK_NODES) as u32;
                 self.free
-                    .extend((0..self.chunk_nodes as u32).rev().map(|i| base + i));
+                    .extend((0..Self::CHUNK_NODES as u32).rev().map(|i| base + i));
                 // spc-allow(hot-path-panic): the free list was refilled two lines up
                 self.free.pop().expect("chunk just added")
             }
@@ -137,12 +141,10 @@ impl<T: Copy> Pool<T> {
         self.free.push(id);
     }
 
-    /// Checks the free-list / id-split integrity invariants:
-    /// every free id is unique and in range, `live + free == capacity`, and
-    /// the power-of-two shift/mask id split agrees with plain division for
-    /// every allocatable id. O(capacity); called by [`MatchList::validate`]
-    /// implementations and the `debug_invariants` conformance wiring, never
-    /// on the hot path.
+    /// Checks the free-list integrity invariants: every free id is unique
+    /// and in range, and `live + free == capacity`. O(capacity); called by
+    /// [`MatchList::validate`] implementations and the `debug_invariants`
+    /// conformance wiring, never on the hot path.
     ///
     /// [`MatchList::validate`]: crate::list::MatchList::validate
     pub fn validate(&self) -> Result<(), String> {
@@ -165,40 +167,16 @@ impl<T: Copy> Pool<T> {
             }
             seen[idx] = true;
         }
-        for id in 0..cap as u32 {
-            let (c, i) = self.split(id);
-            if c != id as usize / self.chunk_nodes || i != id as usize % self.chunk_nodes {
-                return Err(format!(
-                    "split({id}) = ({c}, {i}) disagrees with division by {}",
-                    self.chunk_nodes
-                ));
-            }
-            if c >= self.chunks.len() || i >= self.chunk_nodes {
-                return Err(format!("split({id}) = ({c}, {i}) out of bounds"));
-            }
-        }
         Ok(())
     }
 
-    /// Splits a node id into (chunk, slot). Cache-line-sized nodes give a
-    /// power-of-two chunk capacity (256 KiB / 64 B = 4096), so the traversal
-    /// hot paths — which call this several times per node — take the
-    /// shift/mask route instead of two integer divisions.
-    #[inline(always)]
-    fn split(&self, id: u32) -> (usize, usize) {
-        let (id, n) = (id as usize, self.chunk_nodes);
-        if n.is_power_of_two() {
-            (id >> n.trailing_zeros(), id & (n - 1))
-        } else {
-            (id / n, id % n)
-        }
-    }
-
-    /// Splits a node id into `(chunk, slot)` for callers that cache the
-    /// chunk indirection across consecutive ids (see [`Self::chunk_raw`]).
+    /// Splits a node id into `(chunk, slot)` — division by the
+    /// compile-time [`Self::CHUNK_NODES`]. Traversals that cache the chunk
+    /// indirection across consecutive ids pair it with [`Self::chunk_raw`].
     #[inline(always)]
     pub fn split_id(&self, id: u32) -> (usize, usize) {
-        self.split(id)
+        let id = id as usize;
+        (id / Self::CHUNK_NODES, id % Self::CHUNK_NODES)
     }
 
     /// Raw node-array base pointer and simulated base address of chunk `c`.
@@ -217,30 +195,21 @@ impl<T: Copy> Pool<T> {
     /// Shared access to a node.
     #[inline]
     pub fn get(&self, id: u32) -> &T {
-        let (c, i) = self.split(id);
+        let (c, i) = self.split_id(id);
         &self.chunks[c].nodes[i]
     }
 
     /// Exclusive access to a node.
     #[inline]
     pub fn get_mut(&mut self, id: u32) -> &mut T {
-        let (c, i) = self.split(id);
+        let (c, i) = self.split_id(id);
         &mut self.chunks[c].nodes[i]
-    }
-
-    /// Real pointer to a node's storage, for software prefetch while
-    /// chasing links. Chunk storage never moves, so the pointer stays valid
-    /// for the pool's lifetime (prefetching a freed slot is harmless).
-    #[inline]
-    pub fn real_ptr(&self, id: u32) -> *const T {
-        let (c, i) = self.split(id);
-        &self.chunks[c].nodes[i] as *const T
     }
 
     /// Simulated address of a node.
     #[inline]
     pub fn sim_addr(&self, id: u32) -> u64 {
-        let (c, i) = self.split(id);
+        let (c, i) = self.split_id(id);
         self.chunks[c].sim_base + (i * core::mem::size_of::<T>()) as u64
     }
 
@@ -251,7 +220,7 @@ impl<T: Copy> Pool<T> {
             // spc-allow(hot-path-alloc): heater registration path, runs per chunk not per message
             out.push((
                 c.sim_base,
-                (self.chunk_nodes * core::mem::size_of::<T>()) as u64,
+                (Self::CHUNK_NODES * core::mem::size_of::<T>()) as u64,
             ));
         }
     }
@@ -276,9 +245,9 @@ impl<T: Copy> Pool<T> {
     pub fn reset(&mut self) {
         self.free.clear();
         for chunk_idx in 0..self.chunks.len() {
-            let base = (chunk_idx * self.chunk_nodes) as u32;
+            let base = (chunk_idx * Self::CHUNK_NODES) as u32;
             self.free
-                .extend((0..self.chunk_nodes as u32).rev().map(|i| base + i));
+                .extend((0..Self::CHUNK_NODES as u32).rev().map(|i| base + i));
         }
         self.live = 0;
     }
@@ -342,6 +311,26 @@ mod tests {
         assert_eq!(p.capacity(), cap);
         let id = p.alloc(7, &mut addr);
         assert_eq!(*p.get(id), 7);
+    }
+
+    /// The compile-time split is plain division by the per-type const, on
+    /// both sides of every chunk boundary, for a power-of-two chunk
+    /// capacity (64-byte nodes) and a non-power-of-two one (96-byte nodes).
+    #[test]
+    fn const_split_is_division_across_three_chunks() {
+        fn check<T: Copy>(p: &Pool<T>, size: usize) {
+            let n = Pool::<T>::CHUNK_NODES;
+            assert_eq!(n, nodes_per_chunk(size));
+            assert_eq!(p.chunk_capacity(), n);
+            for id in 0..3 * n as u32 {
+                let want = (id as usize / n, id as usize % n);
+                assert_eq!(p.split_id(id), want, "{size}-byte nodes, id {id}");
+            }
+        }
+        assert!(Pool::<[u8; 64]>::CHUNK_NODES.is_power_of_two());
+        assert!(!Pool::<[u8; 96]>::CHUNK_NODES.is_power_of_two());
+        check(&Pool::new([0u8; 64]), 64);
+        check(&Pool::new([0u8; 96]), 96);
     }
 
     #[test]

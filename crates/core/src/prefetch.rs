@@ -3,9 +3,8 @@
 //!
 //! The paper's traversal cost model (§3.1) is dominated by cache-line
 //! fetches the hardware prefetcher cannot predict: the baseline list chases
-//! scattered `next` pointers, and the linked-list-of-arrays hops between
-//! pool nodes. Explicit next-node prefetch overlaps the next node's memory
-//! latency with the current node's match tests.
+//! scattered heap `next` pointers. Explicit next-node prefetch overlaps the
+//! next node's memory latency with the current node's match tests.
 //!
 //! [`read`] compiles to `prefetcht0` on x86-64 and to nothing elsewhere; it
 //! is a pure performance hint with no semantic effect, so every traversal
@@ -13,40 +12,44 @@
 //! conformance harness runs against the prefetching paths, under every
 //! scheme — see `crates/conformance/tests/prefetch_schemes.rs`).
 //!
-//! ## Schemes
+//! ## Schemes apply to the baseline walk only
 //!
-//! Two prediction strategies exist, selected per process by
-//! [`PrefetchScheme`] through the `SPC_PREFETCH_SCHEME` environment
-//! variable (or [`set_scheme`] for in-process sweeps):
+//! The [`crate::list::BaselineList`] walk selects its strategy per process
+//! by [`PrefetchScheme`] through the `SPC_PREFETCH_SCHEME` environment
+//! variable (or [`set_scheme`] for in-process sweeps). The linked list of
+//! arrays ([`crate::list::Lla`]) ignores the scheme: its cache-line nodes
+//! hold two posted entries, so its walk is bound by instructions per hop,
+//! not by memory, and no scheme beat no prefetch on the gate's LLA-2 rows.
+//! Its pool hands out ids sequentially, so standing nodes are contiguous
+//! and the hardware prefetchers cover them. Only its large-arity windowed
+//! scan streams the next window via [`read_span`], because a 32-entry
+//! window spans many lines whose address is known with no dependent load.
 //!
 //! * **Stride** (the default, PR 3): *guess* the upcoming address without a
-//!   dependent load — the LLA extrapolates along the pool's sequential id
-//!   allocation, the baseline extrapolates the allocator stride observed
-//!   between consecutive heap nodes — `k` nodes ahead, where `k` is
-//!   [`distance`] (`SPC_PREFETCH_DIST`, default 2). A wrong guess costs one
-//!   wasted line fill and never a stall, but pool recycling and allocator
-//!   churn make wrong guesses common.
+//!   dependent load — the allocator stride observed between consecutive
+//!   heap nodes, extrapolated `k` nodes ahead, where `k` is [`distance`]
+//!   (`SPC_PREFETCH_DIST`, default 2). A wrong guess costs one wasted line
+//!   fill and never a stall, but allocator churn makes wrong guesses
+//!   common.
 //! * **Chase**: prefetch through the dependence chain itself — the
 //!   Pointer-Chase Prefetcher idea (Srivastava & Navalakha, arXiv
-//!   1801.08088) applied in software. The current node's `next` pointer/id
-//!   is already resident by the time its match tests run, so issuing
-//!   [`read`] on the pointed-to node is *always accurate*; the trade-off is
+//!   1801.08088) applied in software. The current node's `next` pointer is
+//!   already resident by the time its match tests run, so issuing [`read`]
+//!   on the pointed-to node is *always accurate*; the trade-off is
 //!   lookahead limited to one node (the next `next` is not resident yet),
 //!   so the fetch gets only one node's worth of match-test slack to hide
 //!   its latency.
-//! * **Adaptive**: per-list [`AdaptiveDist`] controller picks the effective
-//!   lookahead from the observed walk depth (normalized to *nodes* by the
-//!   structure's arity) and commits to exactly **one** mechanism per walk —
-//!   distance 0 on shallow queues (prefetch is pure overhead there),
-//!   the accurate chase at distance 1 on mid-depth pointer-bound walks
-//!   (arity-gated by [`ADAPTIVE_CHASE_MAX_ARITY`]), and stride guesses on
-//!   deep scans at the configured [`distance`] clamped into 2–4, where
-//!   chase's one-node horizon cannot hide the line latency anyway. Never both at once: issuing the chase
+//! * **Adaptive**: a per-list [`AdaptiveDist`] controller picks the
+//!   effective lookahead from the observed walk depth and commits to
+//!   exactly **one** mechanism per walk — distance 0 on shallow queues
+//!   (prefetch is pure overhead there), the accurate chase at distance 1 on
+//!   mid-depth walks, and stride guesses on deep scans at the configured
+//!   [`distance`] clamped into 2–4, where chase's one-node horizon cannot
+//!   hide the line latency anyway. Never both at once: issuing the chase
 //!   *and* the stride doubles the prefetch traffic per hop and measurably
-//!   loses double digits on deep out-of-L1 walks (fill-buffer pressure) —
-//!   the gate's scheme sweep documents this. Epochs are counted in
-//!   *operations*, never clocks, so the hot path stays free of time
-//!   sources.
+//!   loses double digits on deep out-of-L1 walks (fill-buffer pressure).
+//!   Epochs are counted in *operations*, never clocks, so the hot path
+//!   stays free of time sources.
 //! * **Off**: no software prefetch at all (the hardware prefetchers still
 //!   run; this is the control row in the gate's scheme sweep).
 //!
@@ -55,18 +58,10 @@
 //! overridable in-process, with a forced-vs-detected bit ([`scheme_forced`]
 //! mirrors [`crate::simd::scan_kind_forced`]).
 //!
-//! **Interaction with SIMD batch scanning** (`spc_core::simd`): the batched
-//! kernels consume 2–4 entries per instruction, so a node's match tests
-//! finish in a fraction of the scalar time and a distance tuned for the
-//! scalar scan leaves the fetch *less* slack, not more — the next node is
-//! needed sooner. The distance is counted in *nodes*, which keeps it
-//! batch-width-agnostic (an LLA-8 node is 8 entries whatever the scan
-//! kind), but sweeps should re-tune it per scan kind; the baseline list's
-//! batched walk likewise gathers [`crate::simd::ScanKind::key_batch`]
-//! nodes per probe test and still prefetches per node collected. The
-//! windowed large-arity scan streams whole upcoming windows via
-//! [`read_span`] instead, because a 32-entry window spans many lines and
-//! its address is known with no dependent load.
+//! **Interaction with SIMD batch scanning** (`spc_core::simd`): the
+//! baseline list's batched walk gathers [`crate::simd::ScanKind::key_batch`]
+//! nodes per probe test and still prefetches per node collected; the
+//! distance is counted in *nodes*, so it is batch-width-agnostic.
 
 use crate::envcfg::EnvSwitch;
 
@@ -120,8 +115,8 @@ pub fn set_distance(d: usize) -> usize {
     d
 }
 
-/// Which address-prediction strategy the software prefetch uses. See the
-/// module docs for the trade-offs; the gate's scheme sweep
+/// Which address-prediction strategy the baseline walk's software prefetch
+/// uses. See the module docs for the trade-offs; the gate's scheme sweep
 /// (`matching_gate`, EXPERIMENTS.md "Prefetch schemes") records which one
 /// wins at which depth.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -132,7 +127,7 @@ pub enum PrefetchScheme {
     /// the production default).
     Stride,
     /// Dependent one-node-ahead prefetch through the resident `next`
-    /// pointer/id — always accurate, lookahead fixed at one node.
+    /// pointer — always accurate, lookahead fixed at one node.
     Chase,
     /// Per-list [`AdaptiveDist`] controller: picks no prefetch, the
     /// dependent chase, or a stride distance from the observed walk depth.
@@ -232,18 +227,6 @@ pub fn set_scheme(s: PrefetchScheme) -> PrefetchScheme {
 /// whipsaw the distance.
 pub const ADAPTIVE_EPOCH: u32 = 64;
 
-/// Largest node arity at which the adaptive scheme issues the dependent
-/// chase prefetch (in its distance-1 regime). Chase pays when the walk is
-/// *pointer-bound* — few entries per hop, so the next node's latency is
-/// the bottleneck (the baseline list and small-arity LLAs). At larger
-/// arities one node holds whole SIMD windows and the walk is
-/// stream-bound: the windowed span prefetch already covers the node
-/// interior, the next hop is rare, and the per-node chase bookkeeping is
-/// pure overhead (the gate's scheme sweep tracks the forced chase scheme
-/// losing on LLA-32 deep scans). The forced [`PrefetchScheme::Chase`]
-/// ignores this gate — that row exists precisely to document the loss.
-pub const ADAPTIVE_CHASE_MAX_ARITY: u32 = 8;
-
 /// Self-tuning lookahead: one per list, fed the observed scan depth of each
 /// walk, re-deciding the effective distance every [`ADAPTIVE_EPOCH`]
 /// operations. Deliberately clock-free (op-count epochs — the analyzer's
@@ -255,10 +238,10 @@ pub const ADAPTIVE_CHASE_MAX_ARITY: u32 = 8;
 /// overhead (distance 0); mid-depth scans get the always-accurate chase
 /// (distance 1); deep scans switch to stride guesses at the *configured*
 /// lookahead ([`distance`], clamped into 2–4), because a one-node chase
-/// horizon cannot hide the line latency of a scan that long. Observed
-/// depths arrive in *entries* (the `Search` depth contract) and are
-/// normalized to nodes by the structure's arity, so the decided distance
-/// is in the same unit the walks count their lookahead in.
+/// horizon cannot hide the line latency of a scan that long. The baseline
+/// list holds one entry per node, so observed depths (in entries, the
+/// `Search` depth contract) are already in the nodes the walk counts its
+/// lookahead in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AdaptiveDist {
     /// Sum of observed walk depths this epoch.
@@ -267,47 +250,28 @@ pub struct AdaptiveDist {
     ops: u32,
     /// Distance decided at the last epoch boundary.
     dist: u8,
-    /// Entries per node of the owning structure (1 for the baseline list,
-    /// `N` for an LLA) — gates the chase via [`ADAPTIVE_CHASE_MAX_ARITY`].
-    arity: u32,
 }
 
 impl AdaptiveDist {
-    /// A controller for a one-entry-per-node structure, starting at
-    /// [`DEFAULT_DISTANCE`] (matching the stride default until the first
-    /// epoch completes).
+    /// A controller starting at [`DEFAULT_DISTANCE`] (matching the stride
+    /// default until the first epoch completes).
     pub const fn new() -> Self {
-        Self::for_arity(1)
-    }
-
-    /// A controller for a structure holding `arity` entries per node
-    /// (clamped to ≥1).
-    pub const fn for_arity(arity: u32) -> Self {
         AdaptiveDist {
             depth_sum: 0,
             ops: 0,
             dist: DEFAULT_DISTANCE as u8,
-            arity: if arity == 0 { 1 } else { arity },
         }
     }
 
-    /// Whether the owning structure is pointer-bound enough for the
-    /// dependent chase to pay (see [`ADAPTIVE_CHASE_MAX_ARITY`]).
-    #[inline]
-    pub fn chases(&self) -> bool {
-        self.arity <= ADAPTIVE_CHASE_MAX_ARITY
-    }
-
-    /// Records one walk's observed scan depth (in entries, as returned by
+    /// Records one walk's observed scan depth (as returned by
     /// `Search::depth`); at every [`ADAPTIVE_EPOCH`]-th call, re-decides
-    /// the distance from the epoch's average depth in *nodes* (entries
-    /// divided by the structure's arity).
+    /// the distance from the epoch's average depth.
     #[inline]
     pub fn observe(&mut self, depth: usize) {
         self.depth_sum += depth as u64;
         self.ops += 1;
         if self.ops >= ADAPTIVE_EPOCH {
-            let avg = self.depth_sum / (u64::from(self.ops) * u64::from(self.arity));
+            let avg = self.depth_sum / u64::from(self.ops);
             self.dist = match avg {
                 0..=1 => 0,
                 2..=15 => 1,
@@ -342,7 +306,7 @@ impl Default for AdaptiveDist {
 /// the per-node loop pays no scheme dispatch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WalkPrefetch {
-    /// Issue the dependent prefetch through the resident `next` pointer/id.
+    /// Issue the dependent prefetch through the resident `next` pointer.
     pub chase: bool,
     /// Stride-speculative lookahead in nodes; `0` disables the guess.
     pub stride: usize,
@@ -353,11 +317,10 @@ pub struct WalkPrefetch {
 
 /// Resolves the process-wide [`scheme`] against a list's controller into
 /// per-walk decisions. Under [`PrefetchScheme::Adaptive`] exactly one
-/// mechanism runs per walk: distance 0 means no prefetch, distance 1 on a
-/// pointer-bound structure (arity within [`ADAPTIVE_CHASE_MAX_ARITY`])
-/// means the accurate chase alone, and everything else goes to the stride
-/// at the decided distance. Chase + stride together is deliberately never
-/// planned — the doubled per-hop prefetch traffic loses on deep scans.
+/// mechanism runs per walk: distance 0 means no prefetch, distance 1 means
+/// the accurate chase alone, and everything else goes to the stride at the
+/// decided distance. Chase + stride together is deliberately never planned
+/// — the doubled per-hop prefetch traffic loses on deep scans.
 #[inline]
 pub fn walk_plan(ctl: &AdaptiveDist) -> WalkPrefetch {
     match scheme() {
@@ -378,7 +341,7 @@ pub fn walk_plan(ctl: &AdaptiveDist) -> WalkPrefetch {
         },
         PrefetchScheme::Adaptive => {
             let d = ctl.distance();
-            if d == 1 && ctl.chases() {
+            if d == 1 {
                 WalkPrefetch {
                     chase: true,
                     stride: 0,
@@ -514,40 +477,27 @@ mod tests {
             }
         );
         // The distance-1 regime (mid-depth walks) is where adaptive
-        // chases, gated on arity: a pointer-bound structure gets the
-        // accurate chase alone, a stream-bound one a distance-1 stride.
-        let mut narrow = AdaptiveDist::for_arity(ADAPTIVE_CHASE_MAX_ARITY);
-        let mut wide = AdaptiveDist::for_arity(32);
+        // chases, alone.
+        let mut mid = AdaptiveDist::new();
         for _ in 0..ADAPTIVE_EPOCH {
-            // 8 entries/node * 8 avg nodes, 32 entries/node * 8 avg nodes.
-            narrow.observe(8 * ADAPTIVE_CHASE_MAX_ARITY as usize);
-            wide.observe(8 * 32);
+            mid.observe(8);
         }
-        assert_eq!((narrow.distance(), wide.distance()), (1, 1));
-        assert!(narrow.chases() && !wide.chases());
+        assert_eq!(mid.distance(), 1);
         assert_eq!(
-            walk_plan(&narrow),
+            walk_plan(&mid),
             WalkPrefetch {
                 chase: true,
                 stride: 0,
                 feedback: true
             }
         );
-        assert_eq!(
-            walk_plan(&wide),
-            WalkPrefetch {
-                chase: false,
-                stride: 1,
-                feedback: true
-            }
-        );
-        // Deep scans go to stride guesses even on chase-eligible arities,
-        // at the configured lookahead (clamped into the 2–4 band).
+        // Deep scans go to stride guesses at the configured lookahead
+        // (clamped into the 2–4 band).
         for _ in 0..ADAPTIVE_EPOCH {
-            narrow.observe(1024 * ADAPTIVE_CHASE_MAX_ARITY as usize);
+            mid.observe(1024);
         }
         assert_eq!(
-            walk_plan(&narrow),
+            walk_plan(&mid),
             WalkPrefetch {
                 chase: false,
                 stride: distance().clamp(2, 4),

@@ -15,7 +15,8 @@
 //! * [`ScanKind::Simd128`] — SSE2 pairs (baseline on every x86-64, no
 //!   runtime detection needed);
 //! * [`ScanKind::Simd256`] — AVX2 quads (runtime
-//!   `is_x86_feature_detected!`).
+//!   `is_x86_feature_detected!` of both `avx2` and `popcnt`: the LLA walk
+//!   compiled for this kind also counts its depth with `popcnt`).
 //!
 //! All three are **bit-for-bit equivalent**: same candidate bitmaps, same
 //! first-hit index, and — because [`crate::sink::AccessSink`] charges are
@@ -65,7 +66,7 @@ pub enum ScanKind {
     Portable,
     /// SSE2 `u64x2` kernel (x86-64 baseline, always safe to run there).
     Simd128,
-    /// AVX2 `u64x4` kernel (requires runtime feature detection).
+    /// AVX2 `u64x4` kernel (requires runtime detection of AVX2 and POPCNT).
     Simd256,
 }
 
@@ -132,7 +133,17 @@ static DOWNGRADE_DIAGNOSTIC: Once = Once::new();
 /// The best kind this CPU can actually execute.
 #[cfg(target_arch = "x86_64")]
 pub fn detect_best() -> ScanKind {
-    if std::arch::is_x86_feature_detected!("avx2") {
+    best_for(
+        std::arch::is_x86_feature_detected!("avx2"),
+        std::arch::is_x86_feature_detected!("popcnt"),
+    )
+}
+
+/// The best kind for a CPU with the given features. `Simd256` needs both:
+/// the AVX2 LLA walk is compiled with `popcnt` enabled.
+#[cfg(target_arch = "x86_64")]
+fn best_for(avx2: bool, popcnt: bool) -> ScanKind {
+    if avx2 && popcnt {
         ScanKind::Simd256
     } else {
         // SSE2 is part of the x86-64 baseline ISA: no detection needed.
@@ -150,7 +161,10 @@ pub fn detect_best() -> ScanKind {
 /// Clamps a requested kind to what the CPU supports, reporting a downgrade
 /// once on stderr (a forced-but-unsupported kind must degrade, not fault).
 fn clamp_supported(k: ScanKind) -> ScanKind {
-    let best = detect_best();
+    clamp_to(k, detect_best())
+}
+
+fn clamp_to(k: ScanKind, best: ScanKind) -> ScanKind {
     if k > best {
         DOWNGRADE_DIAGNOSTIC.call_once(|| {
             eprintln!(
@@ -267,8 +281,9 @@ fn scan_dispatch<E: Element, const HOLES: bool>(
     if vectorizable::<E>() {
         match kind {
             // SAFETY: `Simd256` is only ever installed by `clamp_supported`
-            // after `is_x86_feature_detected!("avx2")`, so the AVX2 kernel
-            // cannot execute on a CPU without it.
+            // after `is_x86_feature_detected!` reported both `avx2` and
+            // `popcnt` (`detect_best`), so the AVX2 kernel cannot execute on
+            // a CPU without them.
             ScanKind::Simd256 => return unsafe { scan_slab_avx2::<E, HOLES>(entries, probe) },
             // SAFETY: SSE2 is part of the x86-64 baseline ISA.
             ScanKind::Simd128 => return unsafe { scan_slab_sse2::<E, HOLES>(entries, probe) },
@@ -309,7 +324,8 @@ pub fn match_keys(kind: ScanKind, keys: &[u64], masks: &[u64], probe: &PackedPro
     #[cfg(target_arch = "x86_64")]
     match kind {
         // SAFETY: `Simd256` is only ever installed by `clamp_supported`
-        // after `is_x86_feature_detected!("avx2")`.
+        // after `is_x86_feature_detected!` reported both `avx2` and
+        // `popcnt` (`detect_best`).
         ScanKind::Simd256 => return unsafe { match_keys_avx2(keys, masks, probe) },
         // SAFETY: SSE2 is part of the x86-64 baseline ISA.
         ScanKind::Simd128 => return unsafe { match_keys_sse2(keys, masks, probe) },
@@ -645,6 +661,25 @@ mod tests {
         assert_eq!(ScanKind::Portable.key_batch(), 1);
         assert_eq!(ScanKind::Simd128.key_batch(), 2);
         assert_eq!(ScanKind::Simd256.key_batch(), 4);
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn simd256_requires_avx2_and_popcnt() {
+        if scan_kind() == ScanKind::Simd256 {
+            assert!(std::arch::is_x86_feature_detected!("avx2"));
+            assert!(std::arch::is_x86_feature_detected!("popcnt"));
+        }
+        assert_eq!(best_for(true, true), ScanKind::Simd256);
+        assert_eq!(best_for(true, false), ScanKind::Simd128);
+        assert_eq!(best_for(false, true), ScanKind::Simd128);
+        // A forced `simd256` on an AVX2 CPU without POPCNT downgrades
+        // through the same clamp (and one-time diagnostic) as any other
+        // unsupported kind.
+        assert_eq!(
+            clamp_to(ScanKind::Simd256, best_for(true, false)),
+            ScanKind::Simd128
+        );
     }
 
     /// One test owns the process-global kind (mirrors the prefetch-distance
