@@ -1,7 +1,7 @@
-//! Seeded violation: an adaptive-distance controller that paces its epochs
-//! with the wall clock instead of op counts. Analyzed under the virtual
-//! path `crates/core/src/prefetch.rs` — the real controller advances on
-//! `ADAPTIVE_EPOCH` op boundaries precisely so replays are deterministic.
+//! Seeded violation: an adaptive-distance prefetch controller that paces
+//! its epochs with the wall clock instead of op counts. Analyzed under the
+//! virtual path `crates/core/src/prefetch.rs` — hot-path state there must
+//! advance on op counts so replays stay deterministic.
 
 impl BadAdaptiveDist {
     pub fn record_hit_depth(&mut self, depth: usize) {

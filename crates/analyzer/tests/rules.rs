@@ -170,8 +170,8 @@ fn hot_path_clock_is_caught() {
 
 #[test]
 fn adaptive_controller_clock_is_caught() {
-    // The adaptive prefetch controller lives in prefetch.rs and must pace
-    // its retune epochs on op counts, never the wall clock; a clock-paced
+    // A self-tuning prefetch controller in prefetch.rs must pace its
+    // retune epochs on op counts, never the wall clock; a clock-paced
     // variant is the shape of regression this rule exists to stop.
     let path = "crates/core/src/prefetch.rs";
     let findings = analyze_source(path, &fixture("adaptive_clock.rs"));

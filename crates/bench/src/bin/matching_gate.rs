@@ -38,25 +38,25 @@
 //! `SPC_SCAN_KIND=simd256`) so both the fallback and the vector kernels are
 //! exercised and compared on every push.
 //!
-//! The matrix also sweeps the **traversal-prefetch scheme** over the
-//! baseline list, the only walk that has one: the main pass runs under the
-//! installed scheme (default `stride`), then the packed baseline re-runs
-//! under `off`, `chase`, and `adaptive`, pinned to the best scan kernel so
-//! the scheme is the only variable. The LLA walk issues no software
-//! prefetch, so LLA cells run once and are recorded as `off` with distance
-//! 0. Scheme rows carry `prefetch_scheme` / `prefetch_dist` columns, and
-//! their cachesim replay arms the simulated pointer-chase unit (degree 1
-//! wherever the native walk chases) so the native `prefetcht0` chase has a
-//! simulated counterpart — the L1-hit delta against the stride row
-//! attributes the timing change to locality.
+//! The baseline list's packed walk is one scalar loop that ignores the scan
+//! kind, so like the binned structures it gets one `packed` row (plus its
+//! `fieldwise` reference) instead of one row per kernel. The matrix also
+//! sweeps the **traversal-prefetch scheme** over that row, the only walk
+//! that has one: the main pass runs under the installed scheme (default
+//! `stride`), then the packed baseline re-runs under the other scheme on
+//! the same list. The LLA walk issues no software prefetch, so LLA cells
+//! run once and are recorded as `off` with distance 0. Scheme rows carry
+//! `prefetch_scheme` / `prefetch_dist` columns. Software prefetch hints are
+//! invisible to the access-trace sink, so every scheme replays the same
+//! cachesim columns.
 //!
 //! Usage: `matching_gate [--quick] [--out <path>]` (also `--json <path>`;
 //! default `BENCH_matching.json`). `--quick` shrinks the matrix and budgets
 //! for CI smoke runs and marks the JSON `"quick": true`. The `SPC_SCAN_KIND`
 //! environment variable restricts the packed sweep to one kernel
 //! (`portable`/`simd128`/`simd256`, downgraded to the best the CPU
-//! supports); `SPC_PREFETCH_SCHEME` (`off`/`stride`/`chase`/`adaptive`)
-//! pins every non-LLA row to one scheme and skips the scheme sweep. The
+//! supports); `SPC_PREFETCH_SCHEME` (`off`/`stride`) pins every non-LLA
+//! row to one scheme and skips the scheme sweep. The
 //! binary exits nonzero on panic, an unwritable output path, or a kernel
 //! cross-check divergence — perf regressions are recorded, not fatal, so CI
 //! stays green on noisy runners.
@@ -148,22 +148,6 @@ impl Cell {
             Variant::Packed(_) => self.scheme.as_str(),
         }
     }
-
-    /// Pointer-chase depth for the cell's cachesim replay. The native
-    /// stride scheme's `prefetcht0` hints are invisible to the access-trace
-    /// sink, so the simulated hierarchy only distinguishes schemes through
-    /// its chase unit: one-node lookahead wherever the native walk issues
-    /// the dependent chase (the forced chase scheme, and the adaptive
-    /// scheme when its controller converged into the chase regime —
-    /// `adaptive_dist` is the converged distance of the timed list).
-    fn sim_chase_degree(&self, adaptive_dist: Option<usize>) -> u32 {
-        match (self.variant, self.scheme) {
-            (Variant::Fieldwise, _) => 0,
-            (_, PrefetchScheme::Chase) => 1,
-            (_, PrefetchScheme::Adaptive) => u32::from(adaptive_dist == Some(1)),
-            _ => 0,
-        }
-    }
 }
 
 struct MeasureCfg {
@@ -182,9 +166,6 @@ trait GateList {
     fn search_null(&mut self, p: &Envelope) -> Search<PostedEntry>;
     fn search_count(&mut self, p: &Envelope, sink: &mut CountingSink) -> Search<PostedEntry>;
     fn search_sim(&mut self, p: &Envelope, sink: &mut MemSim) -> Search<PostedEntry>;
-    /// Converged adaptive-controller lookahead (`None` off the packed
-    /// linear structures).
-    fn adaptive_dist(&self) -> Option<usize>;
 }
 
 /// The current packed-key path, available on every structure.
@@ -208,9 +189,6 @@ impl<L: MatchList<PostedEntry>> GateList for Packed<L> {
     }
     fn search_sim(&mut self, p: &Envelope, sink: &mut MemSim) -> Search<PostedEntry> {
         self.0.search_remove(p, sink)
-    }
-    fn adaptive_dist(&self) -> Option<usize> {
-        self.0.adaptive_prefetch_distance()
     }
 }
 
@@ -237,9 +215,6 @@ impl GateList for FieldwiseBaseline {
     fn search_sim(&mut self, p: &Envelope, sink: &mut MemSim) -> Search<PostedEntry> {
         self.0.search_remove_fieldwise(p, sink)
     }
-    fn adaptive_dist(&self) -> Option<usize> {
-        None
-    }
 }
 
 struct FieldwiseLla<const N: usize>(Lla<PostedEntry, N>);
@@ -262,9 +237,6 @@ impl<const N: usize> GateList for FieldwiseLla<N> {
     }
     fn search_sim(&mut self, p: &Envelope, sink: &mut MemSim) -> Search<PostedEntry> {
         self.0.search_remove_fieldwise(p, sink)
-    }
-    fn adaptive_dist(&self) -> Option<usize> {
-        None
     }
 }
 
@@ -388,15 +360,9 @@ fn cross_check(cell: &Cell, entries: &[PostedEntry], probes: &[Envelope], kind: 
 /// Replays the cell's op stream against the cache hierarchy: appends and
 /// one full probe cycle warm the simulated caches, then one measured cycle
 /// produces the per-op line and hit-ratio columns.
-fn run_sim(
-    cell: &Cell,
-    entries: &[PostedEntry],
-    probes: &[Envelope],
-    adaptive_dist: Option<usize>,
-) -> SimColumns {
+fn run_sim(cell: &Cell, entries: &[PostedEntry], probes: &[Envelope]) -> SimColumns {
     let mut list = make_list(cell.structure, cell.variant, cell.depth);
-    let prof = ArchProfile::sandy_bridge().with_pointer_chase(cell.sim_chase_degree(adaptive_dist));
-    let mut mem = MemSim::new(prof);
+    let mut mem = MemSim::new(ArchProfile::sandy_bridge());
     for e in entries {
         list.append_sim(*e, &mut mem);
     }
@@ -498,19 +464,12 @@ fn run_cell(cell: &Cell, cfg: &MeasureCfg, extra_schemes: &[PrefetchScheme]) -> 
             }
         }
         let bytes = (sink.bytes_read + sink.bytes_written) as f64 / probes.len() as f64;
-        // Read the controller AFTER this scheme's timed+replay stream, so an
-        // adaptive run reports the distance it actually converged to.
-        let adaptive = list.adaptive_dist();
-        let sim = run_sim(&scheme_cell, &entries, &probes, adaptive);
+        let sim = run_sim(&scheme_cell, &entries, &probes);
         // The `prefetch_dist` column: nodes of lookahead the walk actually
-        // ran with — the configured stride for fixed schemes, one for the
-        // dependent chase, and the controller's converged decision for
-        // adaptive.
+        // ran with.
         let dist = match (cell.variant, scheme) {
             (Variant::Fieldwise, _) | (_, PrefetchScheme::Off) => 0,
             (_, PrefetchScheme::Stride) => prefetch::distance() as u64,
-            (_, PrefetchScheme::Chase) => 1,
-            (_, PrefetchScheme::Adaptive) => adaptive.unwrap_or(0) as u64,
         };
         runs.push(SchemeRun {
             scheme,
@@ -571,7 +530,7 @@ fn main() {
     // `SPC_PREFETCH_SCHEME` pins every non-LLA row to one traversal-prefetch
     // scheme (same forced-vs-default contract as `SPC_SCAN_KIND`); without
     // it the matrix runs under the default stride scheme and the packed
-    // baseline list is re-timed under the other three on the same list.
+    // baseline list is re-timed under `off` on the same list.
     let scheme_env_forced = std::env::var("SPC_PREFETCH_SCHEME").is_ok();
     let installed_scheme = prefetch::scheme();
     let sweep_schemes: Vec<PrefetchScheme> = if scheme_env_forced {
@@ -597,17 +556,18 @@ fn main() {
             .join(", ")
     );
 
-    // (structure, has a slab scan the SIMD kernels accelerate). Binned
-    // structures search per-channel `SeqFifo`s with the scalar packed
-    // compare, so they get one packed row regardless of the kind sweep.
-    let structures: &[(&str, bool)] = &[
-        ("baseline", true),
-        ("lla2", true),
-        ("lla8", true),
-        ("lla32", true),
-        ("bins", false),
-        ("hashbins", false),
-        ("ranktrie", false),
+    // (structure, has a slab scan the SIMD kernels accelerate, keeps the
+    // field-wise reference walk). The baseline walk and the binned
+    // structures' per-channel `SeqFifo`s use the scalar packed compare, so
+    // they get one packed row regardless of the kind sweep.
+    let structures: &[(&str, bool, bool)] = &[
+        ("baseline", false, true),
+        ("lla2", true, true),
+        ("lla8", true, true),
+        ("lla32", true, true),
+        ("bins", false, false),
+        ("hashbins", false, false),
+        ("ranktrie", false, false),
     ];
     let depths: &[usize] = if quick {
         &[64, 256]
@@ -666,18 +626,18 @@ fn main() {
             }
         };
     // Prefetch-scheme sweep: the packed baseline list (the only walk that
-    // prefetches per hop) is re-timed under every non-default scheme ON THE
-    // SAME LIST as its main-matrix row, pinned to the best available
-    // kernel — the scheme is then the sole variable (same kernel, same heap
-    // layout) against the matching main-matrix rows.
-    let sweep_kind = *packed_kinds.last().expect("at least portable");
-    for &(structure, slab) in structures {
+    // prefetches per hop) is re-timed under the non-installed scheme ON THE
+    // SAME LIST as its main-matrix row — the scheme is then the sole
+    // variable (same walk, same heap layout).
+    for &(structure, slab, fieldwise) in structures {
         for &depth in depths {
             for &hit in hits {
                 for &wildcard in wildcards {
                     let mut variants: Vec<Variant> = Vec::new();
-                    if slab {
+                    if fieldwise {
                         variants.push(Variant::Fieldwise);
+                    }
+                    if slab {
                         variants.extend(packed_kinds.iter().map(|k| Variant::Packed(*k)));
                     } else {
                         variants.push(Variant::Packed(ScanKind::Portable));
@@ -700,7 +660,7 @@ fn main() {
                             },
                         };
                         let extras: &[PrefetchScheme] =
-                            if slab && !lla && variant == Variant::Packed(sweep_kind) {
+                            if structure == "baseline" && variant != Variant::Fieldwise {
                                 &sweep_schemes
                             } else {
                                 &[]
@@ -752,33 +712,6 @@ fn main() {
                 println!(
                     "gate:   {:<42} {:>8.1} -> {:>8.1} ns/op  ({gain:+.1}%)  \
                      lines/op {dl:+.2}",
-                    r.name, p.ns_per_op, r.ns_per_op
-                );
-            }
-        }
-    }
-
-    // Scheme summary over the same deep-scan cells: dependent chase and the
-    // adaptive controller vs the fixed-distance stride default. The L1 delta
-    // comes from the cachesim replay (its chase unit converts warm L2 hits
-    // into L1 hits), attributing the timing change to locality.
-    for scheme in ["chase", "adaptive"] {
-        let mut shown = false;
-        for r in records.iter().filter(deep) {
-            if r.prefetch_scheme.as_deref() != Some(scheme) {
-                continue;
-            }
-            let stride_name = r.name.replace(&format!("/{scheme}"), "/stride");
-            if let Some(p) = records.iter().find(|x| x.name == stride_name) {
-                if !shown {
-                    println!("\ngate: {scheme} vs stride (deep scans, wildcard 0):");
-                    shown = true;
-                }
-                let gain = 100.0 * (p.ns_per_op - r.ns_per_op) / p.ns_per_op;
-                let dl1 = r.l1_hit_pct.unwrap_or(0.0) - p.l1_hit_pct.unwrap_or(0.0);
-                println!(
-                    "gate:   {:<48} {:>8.1} -> {:>8.1} ns/op  ({gain:+.1}%)  \
-                     L1 {dl1:+.1}pp",
                     r.name, p.ns_per_op, r.ns_per_op
                 );
             }

@@ -67,9 +67,8 @@ pub struct ArchProfile {
     /// Pointer-chase prefetcher depth: how many dependence-chain successors
     /// are pulled toward the core per node visit (0 disables the unit).
     /// No shipping x86 part has one, so every stock profile leaves it off;
-    /// the gate's chase/adaptive scheme rows enable it via
-    /// [`ArchProfile::with_pointer_chase`] to model what the native
-    /// `prefetcht0` chase does to the hierarchy.
+    /// [`ArchProfile::with_pointer_chase`] arms it to model a hypothetical
+    /// hardware chase unit.
     pub pointer_chase_degree: u32,
 }
 

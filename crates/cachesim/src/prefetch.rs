@@ -164,9 +164,8 @@ const MAX_SUCC: usize = 1 << 16;
 /// visit — that is the load that produced the pointer the walk then
 /// followed. Once trained, touching a node's header prefetches the next
 /// `degree` chain successors' header *and* link lines, converting the
-/// serialized pointer-chase latency chain into overlapped fills — the
-/// simulated counterpart of the native `prefetcht0` issued by
-/// `PrefetchScheme::Chase`.
+/// serialized pointer-chase latency chain into overlapped fills. It models
+/// a hardware unit: no native walk issues a software chase prefetch.
 ///
 /// With `degree == 0` the unit is inert and costs one branch per access.
 #[derive(Clone, Debug)]

@@ -1,17 +1,13 @@
 //! Oracle conformance under every forced prefetch scheme.
 //!
 //! Software prefetch (`spc_core::prefetch`) is documented as a pure hint:
-//! whichever [`PrefetchScheme`] a traversal runs under — no prefetch,
-//! stride guesses, the dependent pointer chase, or the adaptive controller
-//! that re-decides its lookahead mid-stream — the walk must stay
-//! byte-for-byte sink-equivalent and return identical matches. This binary
-//! pins that claim at the semantic level: full randomized op streams
-//! replayed against the Vec-backed oracle with the process-global scheme
-//! forced to each value in turn, so a scheme-dependent divergence in match
-//! identity, FIFO arbitration, or depth accounting fails conformance, not
-//! just a unit test. The adaptive scheme is the interesting case — its
-//! controller mutates per-list state during the walk — and these streams
-//! run long enough (10k ops) to cross many [`ADAPTIVE_EPOCH`] boundaries.
+//! whichever [`PrefetchScheme`] a traversal runs under — no prefetch or
+//! stride guesses — the walk must stay byte-for-byte sink-equivalent and
+//! return identical matches. This binary pins that claim at the semantic
+//! level: full randomized op streams replayed against the Vec-backed
+//! oracle with the process-global scheme forced to each value in turn, so
+//! a scheme-dependent divergence in match identity, FIFO arbitration, or
+//! depth accounting fails conformance, not just a unit test.
 //!
 //! Everything lives in ONE test function because the scheme is
 //! process-global (mirroring `scan_kinds.rs`): sibling tests in this
@@ -69,10 +65,9 @@ fn every_prefetch_scheme_conforms_to_the_oracle() {
     for (i, scheme) in PrefetchScheme::ALL.into_iter().enumerate() {
         assert_eq!(prefetch::set_scheme(scheme), scheme);
         let seed = SEED.wrapping_add(1000 * i as u64);
-        // The baseline list takes both the scalar and (where the CPU
-        // supports it) batched walks through the chase/stride blocks. The
-        // LLA walk has no software prefetch, so its rows prove it ignores
-        // the scheme, the large-arity windowed scan included.
+        // The baseline walk takes the stride block or skips it. The LLA
+        // walk has no software prefetch, so its rows prove it ignores the
+        // scheme, the large-arity windowed scan included.
         check_posted("baseline", scheme, BaselineList::<PostedEntry>::new, seed);
         check_umq(
             "baseline",

@@ -66,9 +66,9 @@ fn every_scan_kind_conforms_to_the_oracle() {
     for (i, kind) in ScanKind::ALL.into_iter().filter(|k| *k <= best).enumerate() {
         assert_eq!(simd::set_scan_kind(kind), kind);
         let seed = SEED.wrapping_add(1000 * i as u64);
-        // Baseline's batched gather walk, the LLA bitmap scan at cacheline
-        // and deep arities, the full-width 32-slot bitmap, and the
-        // windowed large-arity fallback.
+        // The baseline walk (which ignores the kind), the LLA bitmap scan
+        // at cacheline and deep arities, the full-width 32-slot bitmap, and
+        // the windowed large-arity fallback.
         check_posted("baseline", kind, BaselineList::<PostedEntry>::new, seed);
         check_umq(
             "baseline",

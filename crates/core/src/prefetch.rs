@@ -30,38 +30,22 @@
 //!   heap nodes, extrapolated `k` nodes ahead, where `k` is [`distance`]
 //!   (`SPC_PREFETCH_DIST`, default 2). A wrong guess costs one wasted line
 //!   fill and never a stall, but allocator churn makes wrong guesses
-//!   common.
-//! * **Chase**: prefetch through the dependence chain itself — the
-//!   Pointer-Chase Prefetcher idea (Srivastava & Navalakha, arXiv
-//!   1801.08088) applied in software. The current node's `next` pointer is
-//!   already resident by the time its match tests run, so issuing [`read`]
-//!   on the pointed-to node is *always accurate*; the trade-off is
-//!   lookahead limited to one node (the next `next` is not resident yet),
-//!   so the fetch gets only one node's worth of match-test slack to hide
-//!   its latency.
-//! * **Adaptive**: a per-list [`AdaptiveDist`] controller picks the
-//!   effective lookahead from the observed walk depth and commits to
-//!   exactly **one** mechanism per walk — distance 0 on shallow queues
-//!   (prefetch is pure overhead there), the accurate chase at distance 1 on
-//!   mid-depth walks, and stride guesses on deep scans at the configured
-//!   [`distance`] clamped into 2–4, where chase's one-node horizon cannot
-//!   hide the line latency anyway. Never both at once: issuing the chase
-//!   *and* the stride doubles the prefetch traffic per hop and measurably
-//!   loses double digits on deep out-of-L1 walks (fill-buffer pressure).
-//!   Epochs are counted in *operations*, never clocks, so the hot path
-//!   stays free of time sources.
+//!   common. It wins the gate's depth-1024 baseline cells.
 //! * **Off**: no software prefetch at all (the hardware prefetchers still
-//!   run; this is the control row in the gate's scheme sweep).
+//!   run). It wins the gate's shallow baseline cells, where there is no
+//!   walk long enough to hide a fetch behind.
+//!
+//! There is deliberately no dependent one-node-ahead chase (the
+//! Pointer-Chase Prefetcher idea, Srivastava & Navalakha, arXiv
+//! 1801.08088, applied in software) and no self-tuning distance: measured
+//! on this walk, neither won a gate cell beyond spread, and with the list
+//! evicted from L2 the chase only tied `off` (EXPERIMENTS.md "Prefetch
+//! schemes").
 //!
 //! Both knobs follow the shared [`crate::envcfg::EnvSwitch`] contract:
 //! parsed once per process, one-time stderr diagnostic on garbage,
 //! overridable in-process, with a forced-vs-detected bit ([`scheme_forced`]
 //! mirrors [`crate::simd::scan_kind_forced`]).
-//!
-//! **Interaction with SIMD batch scanning** (`spc_core::simd`): the
-//! baseline list's batched walk gathers [`crate::simd::ScanKind::key_batch`]
-//! nodes per probe test and still prefetches per node collected; the
-//! distance is counted in *nodes*, so it is batch-width-agnostic.
 
 use crate::envcfg::EnvSwitch;
 
@@ -80,9 +64,8 @@ static DISTANCE: EnvSwitch = EnvSwitch::new("SPC_PREFETCH_DIST");
 /// The tri-state switch behind `SPC_PREFETCH_SCHEME`.
 static SCHEME: EnvSwitch = EnvSwitch::new("SPC_PREFETCH_SCHEME");
 
-/// The process-wide prefetch lookahead distance, in nodes. `0` disables
-/// software prefetch. Used directly by [`PrefetchScheme::Stride`] and as
-/// the clamp-documented bound for the adaptive controller.
+/// The process-wide prefetch lookahead distance, in nodes, used by
+/// [`PrefetchScheme::Stride`]. `0` disables software prefetch.
 ///
 /// **Once-parsed contract:** `SPC_PREFETCH_DIST` is consulted exactly once,
 /// on the first call; later changes to the environment are not observed. An
@@ -126,12 +109,6 @@ pub enum PrefetchScheme {
     /// Stride-speculative guesses [`distance`] nodes ahead (PR 3 behavior,
     /// the production default).
     Stride,
-    /// Dependent one-node-ahead prefetch through the resident `next`
-    /// pointer — always accurate, lookahead fixed at one node.
-    Chase,
-    /// Per-list [`AdaptiveDist`] controller: picks no prefetch, the
-    /// dependent chase, or a stride distance from the observed walk depth.
-    Adaptive,
 }
 
 impl PrefetchScheme {
@@ -141,8 +118,6 @@ impl PrefetchScheme {
         match self {
             PrefetchScheme::Off => "off",
             PrefetchScheme::Stride => "stride",
-            PrefetchScheme::Chase => "chase",
-            PrefetchScheme::Adaptive => "adaptive",
         }
     }
 
@@ -151,35 +126,24 @@ impl PrefetchScheme {
         match s {
             "off" => Some(PrefetchScheme::Off),
             "stride" => Some(PrefetchScheme::Stride),
-            "chase" => Some(PrefetchScheme::Chase),
-            "adaptive" => Some(PrefetchScheme::Adaptive),
             _ => None,
         }
     }
 
     /// All schemes, in `SPC_PREFETCH_SCHEME` spelling order.
-    pub const ALL: [PrefetchScheme; 4] = [
-        PrefetchScheme::Off,
-        PrefetchScheme::Stride,
-        PrefetchScheme::Chase,
-        PrefetchScheme::Adaptive,
-    ];
+    pub const ALL: [PrefetchScheme; 2] = [PrefetchScheme::Off, PrefetchScheme::Stride];
 
     fn index(self) -> usize {
         match self {
             PrefetchScheme::Off => 0,
             PrefetchScheme::Stride => 1,
-            PrefetchScheme::Chase => 2,
-            PrefetchScheme::Adaptive => 3,
         }
     }
 
     fn from_index(i: usize) -> Self {
         match i {
             0 => PrefetchScheme::Off,
-            1 => PrefetchScheme::Stride,
-            2 => PrefetchScheme::Chase,
-            _ => PrefetchScheme::Adaptive,
+            _ => PrefetchScheme::Stride,
         }
     }
 }
@@ -207,7 +171,7 @@ fn scheme_switch() -> (usize, bool) {
     SCHEME.get(
         |s| PrefetchScheme::parse(s).map(PrefetchScheme::index),
         || PrefetchScheme::Stride.index(),
-        "one of off|stride|chase|adaptive",
+        "one of off|stride",
         "default stride",
     )
 }
@@ -220,142 +184,6 @@ fn scheme_switch() -> (usize, bool) {
 pub fn set_scheme(s: PrefetchScheme) -> PrefetchScheme {
     SCHEME.set(s.index());
     s
-}
-
-/// Number of walk observations per adaptive epoch. Small enough to react
-/// within one bench warm-up, large enough that one wildcard outlier cannot
-/// whipsaw the distance.
-pub const ADAPTIVE_EPOCH: u32 = 64;
-
-/// Self-tuning lookahead: one per list, fed the observed scan depth of each
-/// walk, re-deciding the effective distance every [`ADAPTIVE_EPOCH`]
-/// operations. Deliberately clock-free (op-count epochs — the analyzer's
-/// no-clocks-in-hot-paths rule covers this module) and deterministic: the
-/// same op stream always converges to the same distance.
-///
-/// The depth→distance map follows the module-doc rationale: at shallow
-/// depths there is nothing to hide latency behind, so prefetch is pure
-/// overhead (distance 0); mid-depth scans get the always-accurate chase
-/// (distance 1); deep scans switch to stride guesses at the *configured*
-/// lookahead ([`distance`], clamped into 2–4), because a one-node chase
-/// horizon cannot hide the line latency of a scan that long. The baseline
-/// list holds one entry per node, so observed depths (in entries, the
-/// `Search` depth contract) are already in the nodes the walk counts its
-/// lookahead in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AdaptiveDist {
-    /// Sum of observed walk depths this epoch.
-    depth_sum: u64,
-    /// Walks observed this epoch.
-    ops: u32,
-    /// Distance decided at the last epoch boundary.
-    dist: u8,
-}
-
-impl AdaptiveDist {
-    /// A controller starting at [`DEFAULT_DISTANCE`] (matching the stride
-    /// default until the first epoch completes).
-    pub const fn new() -> Self {
-        AdaptiveDist {
-            depth_sum: 0,
-            ops: 0,
-            dist: DEFAULT_DISTANCE as u8,
-        }
-    }
-
-    /// Records one walk's observed scan depth (as returned by
-    /// `Search::depth`); at every [`ADAPTIVE_EPOCH`]-th call, re-decides
-    /// the distance from the epoch's average depth.
-    #[inline]
-    pub fn observe(&mut self, depth: usize) {
-        self.depth_sum += depth as u64;
-        self.ops += 1;
-        if self.ops >= ADAPTIVE_EPOCH {
-            let avg = self.depth_sum / u64::from(self.ops);
-            self.dist = match avg {
-                0..=1 => 0,
-                2..=15 => 1,
-                // Deep scans adopt the configured stride lookahead
-                // (clamped into the 2–4 band): the gate measured fixed
-                // distances above the configured default losing a few
-                // percent on deep scans (guesses run further ahead and
-                // miss more), so the controller's job here is the
-                // *mechanism* decision — stride, not chase — at the
-                // distance the deployment already tuned.
-                _ => distance().clamp(2, 4) as u8,
-            };
-            self.depth_sum = 0;
-            self.ops = 0;
-        }
-    }
-
-    /// The currently decided lookahead distance, in nodes.
-    #[inline]
-    pub fn distance(&self) -> usize {
-        usize::from(self.dist)
-    }
-}
-
-impl Default for AdaptiveDist {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// One walk's resolved prefetch decisions, computed once at walk start so
-/// the per-node loop pays no scheme dispatch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WalkPrefetch {
-    /// Issue the dependent prefetch through the resident `next` pointer.
-    pub chase: bool,
-    /// Stride-speculative lookahead in nodes; `0` disables the guess.
-    pub stride: usize,
-    /// Feed the observed walk depth back into the list's [`AdaptiveDist`]
-    /// after the walk (only the adaptive scheme pays the bookkeeping).
-    pub feedback: bool,
-}
-
-/// Resolves the process-wide [`scheme`] against a list's controller into
-/// per-walk decisions. Under [`PrefetchScheme::Adaptive`] exactly one
-/// mechanism runs per walk: distance 0 means no prefetch, distance 1 means
-/// the accurate chase alone, and everything else goes to the stride at the
-/// decided distance. Chase + stride together is deliberately never planned
-/// — the doubled per-hop prefetch traffic loses on deep scans.
-#[inline]
-pub fn walk_plan(ctl: &AdaptiveDist) -> WalkPrefetch {
-    match scheme() {
-        PrefetchScheme::Off => WalkPrefetch {
-            chase: false,
-            stride: 0,
-            feedback: false,
-        },
-        PrefetchScheme::Stride => WalkPrefetch {
-            chase: false,
-            stride: distance(),
-            feedback: false,
-        },
-        PrefetchScheme::Chase => WalkPrefetch {
-            chase: true,
-            stride: 0,
-            feedback: false,
-        },
-        PrefetchScheme::Adaptive => {
-            let d = ctl.distance();
-            if d == 1 {
-                WalkPrefetch {
-                    chase: true,
-                    stride: 0,
-                    feedback: true,
-                }
-            } else {
-                WalkPrefetch {
-                    chase: false,
-                    stride: d,
-                    feedback: true,
-                }
-            }
-        }
-    }
 }
 
 /// Hints the CPU to pull the cache line holding `p` into all cache levels.
@@ -423,89 +251,16 @@ mod tests {
     }
 
     /// One test owns the process-global scheme (mirrors the distance test):
-    /// parsed-once stability, then the `set_scheme` override, exercising
-    /// `walk_plan` under every scheme along the way.
+    /// parsed-once stability, then the `set_scheme` override.
     #[test]
-    fn scheme_is_stable_overridable_and_plans_correctly() {
+    fn scheme_is_stable_and_overridable() {
         let orig = scheme();
         assert_eq!(orig, scheme(), "parsed once, then constant");
-        let orig_dist = distance();
-        let ctl = AdaptiveDist::new();
-
-        set_scheme(PrefetchScheme::Off);
-        assert_eq!(scheme(), PrefetchScheme::Off);
-        assert_eq!(scheme_forced(), Some(PrefetchScheme::Off));
-        assert_eq!(
-            walk_plan(&ctl),
-            WalkPrefetch {
-                chase: false,
-                stride: 0,
-                feedback: false
-            }
-        );
-
-        set_scheme(PrefetchScheme::Stride);
-        set_distance(3);
-        assert_eq!(
-            walk_plan(&ctl),
-            WalkPrefetch {
-                chase: false,
-                stride: 3,
-                feedback: false
-            }
-        );
-
-        set_scheme(PrefetchScheme::Chase);
-        assert_eq!(
-            walk_plan(&ctl),
-            WalkPrefetch {
-                chase: true,
-                stride: 0,
-                feedback: false
-            }
-        );
-
-        set_scheme(PrefetchScheme::Adaptive);
-        // Fresh controller starts at the default distance (2): stride only
-        // — one mechanism per walk, never chase + stride — with feedback.
-        assert_eq!(
-            walk_plan(&ctl),
-            WalkPrefetch {
-                chase: false,
-                stride: DEFAULT_DISTANCE,
-                feedback: true
-            }
-        );
-        // The distance-1 regime (mid-depth walks) is where adaptive
-        // chases, alone.
-        let mut mid = AdaptiveDist::new();
-        for _ in 0..ADAPTIVE_EPOCH {
-            mid.observe(8);
+        for s in PrefetchScheme::ALL {
+            assert_eq!(set_scheme(s), s);
+            assert_eq!(scheme(), s, "override is visible in-process");
+            assert_eq!(scheme_forced(), Some(s), "an override counts as forced");
         }
-        assert_eq!(mid.distance(), 1);
-        assert_eq!(
-            walk_plan(&mid),
-            WalkPrefetch {
-                chase: true,
-                stride: 0,
-                feedback: true
-            }
-        );
-        // Deep scans go to stride guesses at the configured lookahead
-        // (clamped into the 2–4 band).
-        for _ in 0..ADAPTIVE_EPOCH {
-            mid.observe(1024);
-        }
-        assert_eq!(
-            walk_plan(&mid),
-            WalkPrefetch {
-                chase: false,
-                stride: distance().clamp(2, 4),
-                feedback: true
-            }
-        );
-
-        set_distance(orig_dist);
         assert_eq!(set_scheme(orig), orig, "restored for sibling tests");
     }
 
@@ -515,56 +270,13 @@ mod tests {
             assert_eq!(PrefetchScheme::parse(s.as_str()), Some(s));
             assert_eq!(PrefetchScheme::from_index(s.index()), s);
         }
-        assert_eq!(PrefetchScheme::parse("CHASE"), None);
+        // Deleted schemes are rejected, so a stale `SPC_PREFETCH_SCHEME`
+        // falls back to `stride` with the one-time diagnostic.
+        assert_eq!(PrefetchScheme::parse("chase"), None);
+        assert_eq!(PrefetchScheme::parse("adaptive"), None);
+        assert_eq!(PrefetchScheme::parse("STRIDE"), None);
         assert_eq!(PrefetchScheme::parse("on"), None);
         assert_eq!(PrefetchScheme::parse(""), None);
-    }
-
-    /// The controller converges to ≤1 on shallow queues and ≥2 on deep
-    /// scans, deterministically, and holds its decision across epochs of
-    /// the same workload.
-    #[test]
-    fn adaptive_converges_shallow_down_and_deep_up() {
-        // Depth-4 queue: every walk sees at most 4 nodes.
-        let mut shallow = AdaptiveDist::new();
-        for i in 0..(ADAPTIVE_EPOCH * 4) {
-            shallow.observe((i % 4 + 1) as usize);
-        }
-        assert!(
-            shallow.distance() <= 1,
-            "depth-4 workload must converge to ≤1, got {}",
-            shallow.distance()
-        );
-
-        // Depth-1024 back-of-queue scans.
-        let mut deep = AdaptiveDist::new();
-        for _ in 0..(ADAPTIVE_EPOCH * 4) {
-            deep.observe(1024);
-        }
-        assert!(
-            deep.distance() >= 2,
-            "depth-1024 workload must converge to ≥2, got {}",
-            deep.distance()
-        );
-
-        // Empty-queue walks (depth 0) drop prefetch entirely.
-        let mut idle = AdaptiveDist::new();
-        for _ in 0..ADAPTIVE_EPOCH {
-            idle.observe(0);
-        }
-        assert_eq!(idle.distance(), 0);
-
-        // Determinism: an identical stream converges identically.
-        let mut twin = AdaptiveDist::new();
-        for _ in 0..(ADAPTIVE_EPOCH * 4) {
-            twin.observe(1024);
-        }
-        assert_eq!(twin, deep);
-
-        // Mid-epoch observations do not move the decision early.
-        let before = deep.distance();
-        deep.observe(1);
-        assert_eq!(deep.distance(), before, "decisions move only at epochs");
     }
 
     #[test]

@@ -94,16 +94,6 @@ impl ScanKind {
     /// All kinds, weakest first.
     pub const ALL: [ScanKind; 3] = [ScanKind::Portable, ScanKind::Simd128, ScanKind::Simd256];
 
-    /// How many packed keys one probe test consumes under this kind (the
-    /// batch width callers should gather before calling [`match_keys`]).
-    pub const fn key_batch(self) -> usize {
-        match self {
-            ScanKind::Portable => 1,
-            ScanKind::Simd128 => 2,
-            ScanKind::Simd256 => 4,
-        }
-    }
-
     fn index(self) -> usize {
         match self {
             ScanKind::Portable => 0,
@@ -123,10 +113,7 @@ impl ScanKind {
 
 /// The tri-state forced/detected switch behind `SPC_SCAN_KIND` — see
 /// [`crate::envcfg`] for the shared once-parsed / one-time-diagnostic /
-/// in-process-override contract. The forced bit matters here: callers
-/// whose vector path only pays off situationally (the baseline list's
-/// batched gather walk) engage it under a forced kind but not under mere
-/// detection — see [`scan_kind_forced`].
+/// in-process-override contract.
 static KIND: EnvSwitch = EnvSwitch::new("SPC_SCAN_KIND");
 static DOWNGRADE_DIAGNOSTIC: Once = Once::new();
 
@@ -196,13 +183,9 @@ pub fn scan_kind() -> ScanKind {
 /// `SPC_SCAN_KIND` or [`set_scan_kind`] — rather than auto-detected.
 /// Returns `None` under pure detection.
 ///
-/// The slab scans ([`scan_slab`] call sites) win under every SIMD kind and
-/// honor [`scan_kind`] unconditionally. The baseline list's batched gather
-/// walk does **not** win on detected hardware alone (the dependent
-/// next-pointer chase costs more than the vector compare saves — measured
-/// in `matching_gate`, documented in `EXPERIMENTS.md`), so it engages only
-/// through this accessor: benchmarks and tests force a kind to measure the
-/// path; production defaults keep the scalar chase.
+/// No walk consults this: every slab scan honors [`scan_kind`]
+/// unconditionally. It exists for provenance — benchmark reports record
+/// whether the kind they ran under was forced or detected.
 #[inline]
 pub fn scan_kind_forced() -> Option<ScanKind> {
     let (i, forced) = kind_switch();
@@ -311,37 +294,6 @@ fn scan_slab_portable<E: Element, const HOLES: bool>(
         }
     }
     SlabScan { cand, holes }
-}
-
-/// Tests up to 32 gathered packed key/mask pairs against the probe,
-/// returning a match bitmap (bit `i` ⟺ `keys[i]`). Callers gather keys
-/// from non-contiguous storage — the baseline list batches
-/// [`ScanKind::key_batch`] heap nodes per call.
-#[inline(always)]
-pub fn match_keys(kind: ScanKind, keys: &[u64], masks: &[u64], probe: &PackedProbe) -> u32 {
-    debug_assert_eq!(keys.len(), masks.len());
-    debug_assert!(keys.len() <= 32);
-    #[cfg(target_arch = "x86_64")]
-    match kind {
-        // SAFETY: `Simd256` is only ever installed by `clamp_supported`
-        // after `is_x86_feature_detected!` reported both `avx2` and
-        // `popcnt` (`detect_best`).
-        ScanKind::Simd256 => return unsafe { match_keys_avx2(keys, masks, probe) },
-        // SAFETY: SSE2 is part of the x86-64 baseline ISA.
-        ScanKind::Simd128 => return unsafe { match_keys_sse2(keys, masks, probe) },
-        ScanKind::Portable => {}
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = kind;
-    match_keys_portable(keys, masks, probe)
-}
-
-fn match_keys_portable(keys: &[u64], masks: &[u64], probe: &PackedProbe) -> u32 {
-    let mut out = 0u32;
-    for i in 0..keys.len() {
-        out |= (packed_matches(keys[i], masks[i], probe) as u32) << i;
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -569,72 +521,10 @@ mod x86 {
         }
         SlabScan { cand, holes }
     }
-
-    /// SSE2 gathered-key test: contiguous `keys`/`masks` arrays, two pairs
-    /// per step via unaligned vector loads.
-    ///
-    /// # Safety
-    /// Caller must ensure SSE2 is available (x86-64 baseline: always).
-    #[inline]
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn match_keys_sse2(keys: &[u64], masks: &[u64], probe: &PackedProbe) -> u32 {
-        let n = keys.len();
-        let pk = _mm_set1_epi64x(probe.key as i64);
-        let pm = _mm_set1_epi64x(probe.mask as i64);
-        let mut out = 0u32;
-        let mut i = 0usize;
-        while i + 2 <= n {
-            // SAFETY: `i + 2 <= n` keeps both 16-byte loads inside the
-            // slices; `loadu` has no alignment requirement.
-            unsafe {
-                let k = _mm_loadu_si128(keys.as_ptr().add(i) as *const __m128i);
-                let m = _mm_loadu_si128(masks.as_ptr().add(i) as *const __m128i);
-                let diff = _mm_and_si128(_mm_xor_si128(k, pk), _mm_and_si128(m, pm));
-                out |= movemask_zero64_sse2(diff) << i;
-            }
-            i += 2;
-        }
-        if i < n {
-            out |= (packed_matches(keys[i], masks[i], probe) as u32) << i;
-        }
-        out
-    }
-
-    /// AVX2 gathered-key test: four pairs per step.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 is available (runtime-detected).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn match_keys_avx2(keys: &[u64], masks: &[u64], probe: &PackedProbe) -> u32 {
-        let n = keys.len();
-        let pk = _mm256_set1_epi64x(probe.key as i64);
-        let pm = _mm256_set1_epi64x(probe.mask as i64);
-        let zero = _mm256_setzero_si256();
-        let mut out = 0u32;
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: `i + 4 <= n` keeps both 32-byte loads inside the
-            // slices; `loadu` has no alignment requirement.
-            unsafe {
-                let k = _mm256_loadu_si256(keys.as_ptr().add(i) as *const __m256i);
-                let m = _mm256_loadu_si256(masks.as_ptr().add(i) as *const __m256i);
-                let diff = _mm256_and_si256(_mm256_xor_si256(k, pk), _mm256_and_si256(m, pm));
-                let eq = _mm256_cmpeq_epi64(diff, zero);
-                out |= (_mm256_movemask_pd(_mm256_castsi256_pd(eq)) as u32 & 0xF) << i;
-            }
-            i += 4;
-        }
-        if i < n {
-            // SAFETY: SSE2 is implied by AVX2.
-            out |= unsafe { match_keys_sse2(&keys[i..], &masks[i..], probe) } << i;
-        }
-        out
-    }
 }
 
 #[cfg(target_arch = "x86_64")]
-use x86::{match_keys_avx2, match_keys_sse2, scan_slab_avx2, scan_slab_sse2};
+use x86::{scan_slab_avx2, scan_slab_sse2};
 
 #[cfg(test)]
 mod tests {
@@ -652,15 +542,12 @@ mod tests {
     }
 
     #[test]
-    fn clamp_never_exceeds_detection_and_batch_is_monotonic() {
+    fn clamp_never_exceeds_detection() {
         let best = detect_best();
         for k in ScanKind::ALL {
             assert!(clamp_supported(k) <= best);
             assert!(clamp_supported(k) <= k);
         }
-        assert_eq!(ScanKind::Portable.key_batch(), 1);
-        assert_eq!(ScanKind::Simd128.key_batch(), 2);
-        assert_eq!(ScanKind::Simd256.key_batch(), 4);
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -763,25 +650,6 @@ mod tests {
                         "{k:?} len {len}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn match_keys_agrees_across_kinds() {
-        let entries = posted_mixed();
-        let keys: Vec<u64> = entries.iter().map(|e| e.packed_key()).collect();
-        let masks: Vec<u64> = entries.iter().map(|e| e.packed_mask()).collect();
-        let probe = Envelope::new(2, 12, 3).packed();
-        for len in 0..=keys.len() {
-            let want = match_keys_portable(&keys[..len], &masks[..len], &probe);
-            for k in ScanKind::ALL {
-                let k = clamp_supported(k);
-                assert_eq!(
-                    match_keys(k, &keys[..len], &masks[..len], &probe),
-                    want,
-                    "{k:?} len {len}"
-                );
             }
         }
     }

@@ -206,39 +206,6 @@ fn unexpected_slab_scans_agree_for_every_width_and_occupancy() {
     assert!(hits > 300, "only {hits} slab hits; generator bias broken");
 }
 
-#[test]
-fn match_keys_agrees_on_entry_pairs_and_raw_bits() {
-    // `match_keys` is pure bit arithmetic over gathered key/mask words; the
-    // kernels must agree on real entry-derived pairs *and* on arbitrary raw
-    // bits (the baseline gather loop never sanitizes what it collects).
-    let kinds = supported_kinds();
-    let mut rng = StdRng::seed_from_u64(0x51D0_0003);
-    for case in 0..2_000u64 {
-        let len = rng.gen_range(0..33u32) as usize;
-        let mut keys = Vec::with_capacity(len);
-        let mut masks = Vec::with_capacity(len);
-        for i in 0..len {
-            if case % 2 == 0 {
-                let e = live_posted(&mut rng, i as u64);
-                keys.push(e.packed_key());
-                masks.push(e.packed_mask());
-            } else {
-                keys.push(rng.next_u64());
-                masks.push(rng.next_u64());
-            }
-        }
-        let probe = random_envelope(&mut rng).packed();
-        let want = simd::match_keys(ScanKind::Portable, &keys, &masks, &probe);
-        for &k in &kinds {
-            assert_eq!(
-                simd::match_keys(k, &keys, &masks, &probe),
-                want,
-                "{k:?} len {len} case {case}"
-            );
-        }
-    }
-}
-
 /// One probe step's full observable outcome: match identity, reported
 /// depth, and the byte-exact access trace.
 type Step = (Option<u64>, u32, Vec<Access>);
@@ -297,8 +264,8 @@ fn assert_steps_equal(kind: ScanKind, got: &[Step], want: &[Step], structure: &s
 /// One test owns the process-global scan kind (mirrors the prefetch-distance
 /// test): under each forced kind, the LLA bitmap path (N = 2, 8, 32), the
 /// windowed large-arity path (N = 48 spans two windows), and the baseline
-/// batched walk must produce byte-identical access traces, match
-/// identities, and depths.
+/// walk (which ignores the kind) must produce byte-identical access traces,
+/// match identities, and depths.
 #[test]
 fn forced_kinds_produce_identical_traces_on_lists() {
     let orig = simd::scan_kind();
